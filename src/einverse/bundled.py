@@ -17,12 +17,9 @@ from .core import DenseTensor, frobenius_norm, max_abs_diff, sub
 from .product import (
     Factorization,
     LawReport,
-    b_tensor,
-    c_tensor,
     check_b_c_cross,
     check_coincidence,
     check_y_decomposition,
-    product_mp,
     product_mp_involution,
     triple_rol_check,
 )
@@ -128,10 +125,10 @@ def run_example(
         rec.golden("mp_inverse_of_S", f.s_pinv, g["S_pinv"])
         rec.golden("mp_inverse_of_T", f.t_pinv, g["T_pinv"])
         rec.golden("sandwich_equals_S", f.core, g["S"])
-        rec.golden("product_mp", product_mp(f), g["product_mp"])
-        rec.golden("b_tensor", b_tensor(f), g["B"])
-        rec.golden("c_tensor", c_tensor(f), g["C"])
-        rec.gap("product_mp_differs_from_mp", product_mp(f), f.a_pinv)
+        rec.golden("product_mp", f.a_pi, g["product_mp"])
+        rec.golden("b_tensor", f.b, g["B"])
+        rec.golden("c_tensor", f.c, g["C"])
+        rec.gap("product_mp_differs_from_mp", f.a_pi, f.a_pinv)
         rec.verdict("coincidence_is_false", check_coincidence(f, tol_law), False)
         rec.verdict("y_decomposition_is_true", check_y_decomposition(f, tol_law), True)
         rec.verdict("triple_rol_is_false", triple_rol_check(f, tol_law), False)
@@ -145,23 +142,17 @@ def run_example(
         rec.golden("mp_inverse_of_R", f.r_pinv, g["R_pinv"])
         rec.golden("mp_inverse_of_S", f.s_pinv, g["S_pinv"])
         rec.golden("mp_inverse_of_T", f.t_pinv, g["T_pinv"])
-        chain = (f.t_pinv @ f.s_pinv) @ f.r_pinv
-        rec.golden("reverse_chain", chain, g["reverse_chain"])
-        rec.golden("reverse_order_law_holds", chain, f.a_pinv)
-        rec.golden("product_mp", product_mp(f), g["product_mp"])
-        rec.gap("product_mp_differs_from_mp", product_mp(f), f.a_pinv)
+        rec.golden("reverse_chain", f.w, g["reverse_chain"])
+        rec.golden("reverse_order_law_holds", f.w, f.a_pinv)
+        rec.golden("product_mp", f.a_pi, g["product_mp"])
+        rec.gap("product_mp_differs_from_mp", f.a_pi, f.a_pinv)
         rec.verdict("triple_rol_is_true", triple_rol_check(f, tol_law), True)
         rec.verdict("coincidence_is_false", check_coincidence(f, tol_law), False)
         rec.verdict("y_decomposition_is_false", check_y_decomposition(f, tol_law), False)
     else:  # sec4
-        chain = (f.t_pinv @ f.s_pinv) @ f.r_pinv
-        rec.golden("reverse_chain", chain, g["reverse_chain"])
-        rec.gap("mp_differs_from_reverse_chain", f.a_pinv, chain)
+        rec.golden("reverse_chain", f.w, g["reverse_chain"])
+        rec.gap("mp_differs_from_reverse_chain", f.a_pinv, f.w)
         rec.verdict("triple_rol_is_false", triple_rol_check(f, tol_law), False)
 
     report.elapsed_s = time.perf_counter() - start
     return report
-
-
-def run_all(assets_dir: str | Path | None = None) -> list[ExampleReport]:
-    return [run_example(w, assets_dir) for w in EXAMPLE_NAMES]

@@ -80,17 +80,6 @@ class DenseTensor:
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
 
-    @classmethod
-    def from_array(cls, array, row_modes: int) -> "DenseTensor":
-        """Wrap an ndarray, splitting its first `row_modes` axes off as the row group."""
-        arr = np.asarray(array)
-        if not 0 < row_modes < arr.ndim:
-            raise ShapeMismatch(
-                f"row_modes must split the {arr.ndim} axes in two, got {row_modes}"
-            )
-        shape = GroupedShape(arr.shape[:row_modes], arr.shape[row_modes:])
-        return cls(shape, arr)
-
     @property
     def entries(self) -> np.ndarray:
         """Flat 1-D view, row-major over (rows..., cols...) with the last index fastest."""

@@ -19,13 +19,10 @@ from .errors import NumericalFailure, ShapeMismatch
 from .pinv import RankPolicy, mp_inverse, unfold, verify_penrose
 from .product import (
     Factorization,
-    b_tensor,
-    c_tensor,
     check_b_c_cross,
     check_coincidence,
     check_y_decomposition,
     mp_from_factorization,
-    product_mp,
     product_mp_involution,
     triple_rol_check,
     two_factor_corollary,
@@ -255,11 +252,7 @@ _ORACLE_TOL = 1e-12
 
 def _battery(f: Factorization, seed: int, record, corrupt_b: bool = False) -> None:
     """Assert every library invariant on one factorization instance."""
-    a = f.a
-    a_dag = f.a_pinv
-    a_pi = product_mp(f)
-    b = b_tensor(f)
-    c = c_tensor(f)
+    a, a_dag, a_pi, b, c = f.a, f.a_pinv, f.a_pi, f.b, f.c
 
     def check_eq(name, lhs, rhs):
         res = rel_residual(lhs, rhs)
@@ -276,8 +269,7 @@ def _battery(f: Factorization, seed: int, record, corrupt_b: bool = False) -> No
     prep = verify_product_penrose(f, a_pi, _PINV_TOL)
     record("product_penrose", max(prep.condition_residuals.values()), prep.verdict, seed)
 
-    at_pinv = mp_inverse(a @ f.t_pinv)
-    ra_pinv = mp_inverse(f.r_pinv @ a)
+    at_pinv, ra_pinv = f.at_pinv, f.ra_pinv
     check_eq("product_mp_alt_form", a_pi,
              (((f.t_pinv @ at_pinv) @ a) @ ra_pinv) @ f.r_pinv)
     check_eq("core_pinv_split", f.core_pinv, (at_pinv @ a) @ ra_pinv)

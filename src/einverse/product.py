@@ -8,6 +8,9 @@ objects are
     product MP  = T+ * core+ * R+               (written A_pi below)
     B           = T+ * (A * T+)+
     C           = (R+ * A)+ * R+
+    W           = T+ * S+ * R+                  (the reversed chain)
+
+:class:`Factorization` takes every pseudoinverse these need, once each.
 
 A_pi is the unique tensor satisfying the six-equation system checked by
 :func:`verify_product_penrose`; it coincides with A+ only under extra
@@ -24,6 +27,7 @@ from functools import cached_property
 from .core import (
     DenseTensor,
     conj_transpose,
+    frobenius_norm,
     identity,
     rel_residual,
     sub,
@@ -60,8 +64,6 @@ class LawReport:
 
     law_id: LawId
     condition_residuals: dict[str, float]
-    lhs: DenseTensor
-    rhs: DenseTensor
     verdict: bool
     tolerance: float
     direct_residual: float | None = None
@@ -80,14 +82,30 @@ def _borderline_warning(label: str, info: SvdInfo) -> str | None:
     )
 
 
+# Each role names one operand of the chain; the dict order is the fixed order
+# in which warnings are reported, whatever order the inverses were taken in.
+_OPERANDS = {
+    "R+": lambda f: f.r,
+    "T+": lambda f: f.t,
+    "S+": lambda f: f.s,
+    "A+": lambda f: f.a,
+    "core+": lambda f: f.core,
+    "(A T+)+": lambda f: f.a @ f.t_pinv,
+    "(R+ A)+": lambda f: f.r_pinv @ f.a,
+}
+
+
 class Factorization:
-    """A validated chain R * S * T with its product and cached inverses.
+    """A validated chain R * S * T with its product and every derived inverse.
 
     The primary constructor recomputes the product from the factors, so the
     chain identity is exact by construction; :meth:`with_product` accepts a
     user-supplied product and checks it against the factors instead.  The
     consistency identities R*R+*A = A = A*T+*T are asserted at construction
     as a numerical health check.
+
+    Every pseudoinverse of the chain is taken here, once per role and under
+    the chain's policy, on first use; A_pi, B, C and W are built from them.
     """
 
     def __init__(
@@ -112,9 +130,7 @@ class Factorization:
         self.s = s
         self.t = t
         self.a = (r @ s) @ t
-        self._warnings: list[str] = []
-        self.r_pinv = self._pinv_of(r, "R+")
-        self.t_pinv = self._pinv_of(t, "T+")
+        self._inverses: dict[str, tuple[DenseTensor, SvdInfo]] = {}
         left = rel_residual((self.r @ self.r_pinv) @ self.a, self.a)
         right = rel_residual((self.a @ self.t_pinv) @ self.t, self.a)
         if max(left, right) > health_tol:
@@ -143,20 +159,21 @@ class Factorization:
             )
         return f
 
-    def _pinv_of(self, x: DenseTensor, label: str) -> DenseTensor:
-        inv, info = mp_inverse_info(x, self._policy)
-        w = _borderline_warning(label, info)
-        if w:
-            self._warnings.append(w)
-        return inv
+    def _pinv_of(self, role: str) -> DenseTensor:
+        """Pseudoinverse of the role's operand, computed on first use only."""
+        entry = self._inverses.get(role)
+        if entry is None:
+            entry = mp_inverse_info(_OPERANDS[role](self), self._policy)
+            self._inverses[role] = entry
+        return entry[0]
 
-    @cached_property
-    def s_pinv(self) -> DenseTensor:
-        return self._pinv_of(self.s, "S+")
-
-    @cached_property
-    def a_pinv(self) -> DenseTensor:
-        return self._pinv_of(self.a, "A+")
+    r_pinv = property(lambda self: self._pinv_of("R+"))
+    t_pinv = property(lambda self: self._pinv_of("T+"))
+    s_pinv = property(lambda self: self._pinv_of("S+"))
+    a_pinv = property(lambda self: self._pinv_of("A+"))
+    core_pinv = property(lambda self: self._pinv_of("core+"))
+    at_pinv = property(lambda self: self._pinv_of("(A T+)+"))
+    ra_pinv = property(lambda self: self._pinv_of("(R+ A)+"))
 
     @cached_property
     def core(self) -> DenseTensor:
@@ -164,12 +181,33 @@ class Factorization:
         return (self.r_pinv @ self.a) @ self.t_pinv
 
     @cached_property
-    def core_pinv(self) -> DenseTensor:
-        return self._pinv_of(self.core, "core+")
+    def a_pi(self) -> DenseTensor:
+        """The product MP inverse T+ * core+ * R+."""
+        return (self.t_pinv @ self.core_pinv) @ self.r_pinv
+
+    @cached_property
+    def b(self) -> DenseTensor:
+        """B = T+ * (A * T+)+."""
+        return self.t_pinv @ self.at_pinv
+
+    @cached_property
+    def c(self) -> DenseTensor:
+        """C = (R+ * A)+ * R+."""
+        return self.ra_pinv @ self.r_pinv
+
+    @cached_property
+    def w(self) -> DenseTensor:
+        """The reversed chain W = T+ * S+ * R+."""
+        return (self.t_pinv @ self.s_pinv) @ self.r_pinv
 
     @property
     def warnings(self) -> tuple[str, ...]:
-        return tuple(self._warnings)
+        """Borderline rank decisions among the inverses taken so far."""
+        found = (
+            _borderline_warning(role, self._inverses[role][1])
+            for role in _OPERANDS if role in self._inverses
+        )
+        return tuple(w for w in found if w)
 
     def __repr__(self) -> str:
         return (
@@ -218,17 +256,17 @@ def two_factor_corollary(m: DenseTensor, n: DenseTensor) -> DenseTensor:
 
 def product_mp(f: Factorization) -> DenseTensor:
     """The product Moore-Penrose inverse T+ * (R+ * A * T+)+ * R+."""
-    return (f.t_pinv @ f.core_pinv) @ f.r_pinv
+    return f.a_pi
 
 
 def b_tensor(f: Factorization) -> DenseTensor:
     """B = T+ * (A * T+)+; satisfies B = A_pi * A * A+ and B*A*B = B."""
-    return f.t_pinv @ mp_inverse(f.a @ f.t_pinv)
+    return f.b
 
 
 def c_tensor(f: Factorization) -> DenseTensor:
     """C = (R+ * A)+ * R+; satisfies C = A+ * A * A_pi and C*A*C = C."""
-    return mp_inverse(f.r_pinv @ f.a) @ f.r_pinv
+    return f.c
 
 
 def mp_from_factorization(f: Factorization) -> DenseTensor:
@@ -237,10 +275,8 @@ def mp_from_factorization(f: Factorization) -> DenseTensor:
     Cross-checked against the equivalent form (R+ A)+ * S * (A T+)+; a
     disagreement means the chain arithmetic cannot be trusted.
     """
-    left = mp_inverse(f.r_pinv @ f.a)
-    right = mp_inverse(f.a @ f.t_pinv)
-    result = (left @ f.core) @ right
-    alt = (left @ f.s) @ right
+    result = (f.ra_pinv @ f.core) @ f.at_pinv
+    alt = (f.ra_pinv @ f.s) @ f.at_pinv
     gap = rel_residual(result, alt)
     if gap > 1e-8:
         raise NumericalFailure(
@@ -274,16 +310,12 @@ def verify_product_penrose(
         "absorbs_r": rel_residual((x @ f.r) @ f.r_pinv, x),
         "absorbs_t": rel_residual((f.t_pinv @ f.t) @ x, x),
     }
-    verdict = all(v <= tol for v in residuals.values())
-    canonical = product_mp(f)
     return LawReport(
         law_id=LawId.PRODUCT_PENROSE,
         condition_residuals=residuals,
-        lhs=x,
-        rhs=canonical,
-        verdict=verdict,
+        verdict=all(v <= tol for v in residuals.values()),
         tolerance=tol,
-        aux_residuals={"candidate_vs_canonical": rel_residual(x, canonical)},
+        aux_residuals={"candidate_vs_canonical": rel_residual(x, f.a_pi)},
         warnings=f.warnings,
     )
 
@@ -294,26 +326,22 @@ def verify_product_penrose(
 
 def _iff_report(
     law_id: LawId,
+    f: Factorization,
     conditions: dict[str, float],
     direct: float,
-    lhs: DenseTensor,
-    rhs: DenseTensor,
     tol: float,
     aux: dict[str, float] | None = None,
-    warnings: tuple[str, ...] = (),
 ) -> LawReport:
     verdict = all(v <= tol for v in conditions.values())
     return LawReport(
         law_id=law_id,
         condition_residuals=conditions,
-        lhs=lhs,
-        rhs=rhs,
         verdict=verdict,
         tolerance=tol,
         direct_residual=direct,
         aux_residuals=aux or {},
         ambiguous=(direct <= tol) != verdict,
-        warnings=warnings,
+        warnings=f.warnings,
     )
 
 
@@ -324,21 +352,13 @@ def check_coincidence(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawRepo
     criterion residuals gate the verdict, and the direct gap |A_pi - A+| is
     recorded for the iff cross-check.
     """
-    a_pi = product_mp(f)
-    a_dag = f.a_pinv
-    transported = (f.t @ a_dag) @ f.r
+    transported = (f.t @ f.a_pinv) @ f.r
     conditions = {
         "core_pinv_vs_transported_pinv": rel_residual(f.core_pinv, transported),
-        "b_equals_c": rel_residual(b_tensor(f), c_tensor(f)),
+        "b_equals_c": rel_residual(f.b, f.c),
     }
     return _iff_report(
-        LawId.COINCIDENCE,
-        conditions,
-        rel_residual(a_pi, a_dag),
-        a_pi,
-        a_dag,
-        tol,
-        warnings=f.warnings,
+        LawId.COINCIDENCE, f, conditions, rel_residual(f.a_pi, f.a_pinv), tol
     )
 
 
@@ -350,23 +370,15 @@ def check_b_c_cross(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport
     `direct_residual`, and the dual pairing is recorded in aux.  Either
     pairing disagreeing sets `ambiguous`.
     """
-    b = b_tensor(f)
-    c = c_tensor(f)
-    a_dag = f.a_pinv
-    a_pi = product_mp(f)
-    r_b_dag = rel_residual(b, a_dag)
-    r_c_pi = rel_residual(c, a_pi)
-    r_b_pi = rel_residual(b, a_pi)
-    r_c_dag = rel_residual(c, a_dag)
+    r_b_pi = rel_residual(f.b, f.a_pi)
+    r_c_dag = rel_residual(f.c, f.a_pinv)
     report = _iff_report(
         LawId.B_CROSS,
-        {"b_vs_mp": r_b_dag},
-        r_c_pi,
-        b,
-        c,
+        f,
+        {"b_vs_mp": rel_residual(f.b, f.a_pinv)},
+        rel_residual(f.c, f.a_pi),
         tol,
         aux={"b_vs_product_mp": r_b_pi, "c_vs_mp": r_c_dag},
-        warnings=f.warnings,
     )
     dual_disagrees = (r_b_pi <= tol) != (r_c_dag <= tol)
     if dual_disagrees and not report.ambiguous:
@@ -375,44 +387,38 @@ def check_b_c_cross(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport
 
 
 def check_y_decomposition(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport:
-    """Does the product MP inverse equal the reversed chain T+ * S+ * R+?
+    """Does the product MP inverse equal the reversed chain W = T+ * S+ * R+?
 
     Criterion: the gap Y = S+ - (R+ * A * T+)+ vanishes under the two-sided
-    projection T+ * Y * R+.
+    projection T+ * Y * R+.  The projection's two terms are W and A_pi, so
+    its norm is measured against theirs, as the direct residual is.
     """
-    y = sub(f.s_pinv, f.core_pinv)
-    projected = (f.t_pinv @ y) @ f.r_pinv
-    zero = projected * 0.0
-    a_pi = product_mp(f)
-    reversed_chain = (f.t_pinv @ f.s_pinv) @ f.r_pinv
+    projected = (f.t_pinv @ sub(f.s_pinv, f.core_pinv)) @ f.r_pinv
+    scale = max(1.0, frobenius_norm(f.w), frobenius_norm(f.a_pi))
     return _iff_report(
         LawId.Y_DECOMPOSITION,
-        {"projected_gap": rel_residual(projected, zero)},
-        rel_residual(a_pi, reversed_chain),
-        a_pi,
-        reversed_chain,
+        f,
+        {"projected_gap": frobenius_norm(projected) / scale},
+        rel_residual(f.a_pi, f.w),
         tol,
-        warnings=f.warnings,
     )
 
 
 def product_mp_involution(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport:
     """Applying the product MP inverse twice returns the original tensor.
 
-    The second application uses the factorization induced by the first:
-    A_pi = T+ * core+ * R+, so the induced factors are (T+, core+, R+).
+    A_pi = T+ * core+ * R+ induces the chain (T+, core+, R+), whose core is
+    core+ itself, so (A_pi)_pi = R * (core+)+ * T.  (core+)+ is core cut to
+    the rank kept for core+, which is core * core+ * core: no further SVD.
     """
-    induced = Factorization(f.t_pinv, f.core_pinv, f.r_pinv, policy=f._policy)
-    twice = product_mp(induced)
+    twice = (f.r @ ((f.core @ f.core_pinv) @ f.core)) @ f.t
     residual = rel_residual(twice, f.a)
     return LawReport(
         law_id=LawId.INVOLUTION,
         condition_residuals={"double_product_mp_vs_input": residual},
-        lhs=twice,
-        rhs=f.a,
         verdict=residual <= tol,
         tolerance=tol,
-        warnings=f.warnings + induced.warnings,
+        warnings=f.warnings,
     )
 
 
@@ -425,8 +431,7 @@ def triple_rol_check(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawRepor
       (iii) R^H * A * W * R     is Hermitian
       (iv)  T * W * A * T^H     is Hermitian
     """
-    a = f.a
-    w = (f.t_pinv @ f.s_pinv) @ f.r_pinv
+    a, w = f.a, f.w
     aw = a @ w
     wa = w @ a
     gram_r = ((conj_transpose(f.r) @ aw) @ f.r)
@@ -442,13 +447,7 @@ def triple_rol_check(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawRepor
         "iv_col_gram_hermitian": rel_residual(conj_transpose(gram_t), gram_t),
     }
     return _iff_report(
-        LawId.TRIPLE_ROL,
-        conditions,
-        rel_residual(f.a_pinv, w),
-        f.a_pinv,
-        w,
-        tol,
-        warnings=f.warnings,
+        LawId.TRIPLE_ROL, f, conditions, rel_residual(f.a_pinv, w), tol
     )
 
 

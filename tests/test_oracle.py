@@ -135,6 +135,14 @@ def test_battery_200_trials_under_10s():
     assert s.elapsed_s < 10.0
 
 
+@pytest.mark.parametrize("trial_seed", [1322110018, 1068790210, 70435269, 1118588603])
+def test_battery_involution_replay_seeds(trial_seed):
+    # in these trials an SVD of the induced chain's core would keep a noise
+    # singular value just above the cutoff (involution residual 0.5-1.1)
+    s = exhaustive_small_check(max_dim=2, trials=1, seed=trial_seed)
+    assert s.ok, s.violations
+
+
 def test_battery_fault_injection_reports_exactly_one():
     s = exhaustive_small_check(max_dim=2, trials=5, seed=0, inject_fault="corrupt_b")
     assert len(s.violations) == 1

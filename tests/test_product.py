@@ -90,6 +90,52 @@ def test_borderline_factor_surfaces_conditioning_warning():
     assert any("borderline" in w for w in rep.warnings)
 
 
+def test_policy_governs_b_c_and_assembled_mp():
+    from einverse import GroupedShape, RankPolicy, fold
+    i2 = identity([2])
+    s = fold(np.diag([1.0, 1e-3]), GroupedShape((2,), (2,)))
+    f = Factorization(i2, s, i2, policy=RankPolicy("absolute", 1e-2))
+    kept = fold(np.diag([1.0, 0.0]), GroupedShape((2,), (2,)))
+    for x in (product_mp(f), b_tensor(f), c_tensor(f), mp_from_factorization(f)):
+        assert max_abs_diff(x, kept) <= 1e-12
+
+
+def test_each_role_inverted_at_most_once(monkeypatch):
+    from einverse import pinv
+    calls = []
+    real_svd = pinv._svd
+    monkeypatch.setattr(pinv, "_svd", lambda m: calls.append(m.shape) or real_svd(m))
+    f = fact("3.1")
+    assert len(calls) == 2  # R+ and T+, for the health check
+
+    def run_all_readers():
+        for checker in (check_coincidence, check_b_c_cross, check_y_decomposition,
+                        product_mp_involution, triple_rol_check):
+            checker(f)
+        verify_product_penrose(f, product_mp(f))
+        mp_from_factorization(f)
+
+    run_all_readers()
+    # R+, T+, S+, A+, core+, (A T+)+, (R+ A)+
+    assert len(calls) == 7
+    run_all_readers()
+    assert len(calls) == 7
+
+
+def test_warnings_follow_role_order_not_call_order():
+    from einverse import GroupedShape, RankPolicy, fold
+    marginal = fold(np.diag([1.0, 2e-4]), GroupedShape((2,), (2,)))
+    i2 = identity([2])
+    policy = RankPolicy("absolute", 1e-4)
+    s_first = Factorization(i2, marginal, i2, policy=policy)
+    a_first = Factorization(i2, marginal, i2, policy=policy)
+    s_first.s_pinv, s_first.a_pinv
+    a_first.a_pinv, a_first.s_pinv
+    labels = [w.split(":")[0].rsplit(" ", 1)[1] for w in s_first.warnings]
+    assert labels == ["S+", "A+"]
+    assert a_first.warnings == s_first.warnings
+
+
 # --- two-factor formulas -------------------------------------------------------
 
 def test_two_factor_with_identity_right_factor():
@@ -311,6 +357,14 @@ def test_y_decomposition_verdicts():
     assert not rep.verdict and not rep.ambiguous
     a = random_tensor(seeded(11), (2,), (2, 2))
     assert check_y_decomposition(identity_factorization(a)).verdict
+
+
+@pytest.mark.parametrize("k", [-8, -5, -3])
+def test_y_decomposition_survives_small_scales(k):
+    # tiny factors make W and A_pi huge; the gap must be measured against them
+    f = Factorization(*(golden_tensor("3.1", n) * 10.0 ** k for n in "RST"))
+    rep = check_y_decomposition(f)
+    assert rep.verdict and not rep.ambiguous
 
 
 def test_involution_checker():
