@@ -3,12 +3,16 @@
 A tensor here is "matrix-like": its modes are split into a row group and a
 column group.  The Einstein product contracts the full column group of the
 left operand against the full row group of the right operand, generalizing
-matrix multiplication.  Entries are stored row-major over the concatenated
-index tuple with the last index varying fastest, so the matrix unfolding is
-a pure reinterpretation of the flat buffer.
+matrix multiplication.  A tensor stores only its unfolding: the
+row_count x col_count matrix whose rows run over the row-group index tuples
+and whose columns run over the column-group tuples, each row-major with the
+last index fastest.  Under that isomorphism the Einstein product is the
+matrix product and the conjugate transpose is the matrix adjoint; the N-mode
+array and the flat entry list are reshape views of the same buffer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +38,11 @@ class GroupedShape:
 
     @property
     def row_count(self) -> int:
-        return int(np.prod(self.row_dims))
+        return math.prod(self.row_dims)
 
     @property
     def col_count(self) -> int:
-        return int(np.prod(self.col_dims))
+        return math.prod(self.col_dims)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -56,34 +60,39 @@ class GroupedShape:
 
 
 class DenseTensor:
-    """Dense complex tensor over a :class:`GroupedShape`.
+    """Dense complex tensor over a :class:`GroupedShape`, stored as its unfolding.
 
-    Immutable: the backing array is marked read-only at construction and
-    every operation returns a fresh tensor, so values are safe to share
-    across threads.
+    Immutable: the backing matrix is C-contiguous and marked read-only at
+    construction, and every operation returns a fresh tensor, so values are
+    safe to share across threads.
     """
 
-    __slots__ = ("shape", "data")
+    __slots__ = ("shape", "matrix")
 
     def __init__(self, shape: GroupedShape, entries):
         arr = np.asarray(entries, dtype=np.complex128)
-        expected = shape.row_count * shape.col_count
-        if arr.size != expected:
+        rows, cols = shape.row_count, shape.col_count
+        if arr.size != rows * cols:
             raise ShapeMismatch(
-                f"shape {shape} needs {expected} entries, got {arr.size}"
+                f"shape {shape} needs {rows * cols} entries, got {arr.size}"
             )
-        arr = np.ascontiguousarray(arr.reshape(shape.dims))
+        arr = np.ascontiguousarray(arr.reshape(rows, cols))
         arr.setflags(write=False)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "matrix", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
 
     @property
+    def data(self) -> np.ndarray:
+        """N-mode view over (rows..., cols...) of the unfolding."""
+        return self.matrix.reshape(self.shape.dims)
+
+    @property
     def entries(self) -> np.ndarray:
         """Flat 1-D view, row-major over (rows..., cols...) with the last index fastest."""
-        return self.data.reshape(-1)
+        return self.matrix.reshape(-1)
 
     def at(self, *index: int) -> complex:
         """Entry at a full 0-based index tuple (i1..iN, j1..jM)."""
@@ -119,7 +128,7 @@ class DenseTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseTensor):
             return NotImplemented
-        return self.shape == other.shape and np.array_equal(self.data, other.data)
+        return self.shape == other.shape and np.array_equal(self.matrix, other.matrix)
 
     __hash__ = None
 
@@ -131,25 +140,23 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Contract a's column group against b's row group.
 
     Requires an exact elementwise match of the shared group.  The result has
-    a's row group and b's column group; under the unfolding isomorphism this
-    is exactly the matrix product.
+    a's row group and b's column group, and its unfolding is the matrix
+    product of the operands' unfoldings.
     """
     if a.shape.col_dims != b.shape.row_dims:
         raise ShapeMismatch(
             f"cannot contract {a.shape} with {b.shape}: "
             f"col group {a.shape.col_dims} != row group {b.shape.row_dims}"
         )
-    n = len(a.shape.col_dims)
-    out = np.tensordot(a.data, b.data, axes=n)
-    return DenseTensor(GroupedShape(a.shape.row_dims, b.shape.col_dims), out)
+    shape = GroupedShape(a.shape.row_dims, b.shape.col_dims)
+    # np.dot, not matmul: matmul rounds differently when the contracted size
+    # is 1, and the fuzz generator's spectrum screening sees that last bit.
+    return DenseTensor(shape, np.dot(a.matrix, b.matrix))
 
 
 def conj_transpose(a: DenseTensor) -> DenseTensor:
     """Swap the index groups and conjugate every entry."""
-    n = len(a.shape.row_dims)
-    m = len(a.shape.col_dims)
-    perm = tuple(range(n, n + m)) + tuple(range(n))
-    return DenseTensor(a.shape.transposed, np.conj(np.transpose(a.data, perm)))
+    return DenseTensor(a.shape.transposed, a.matrix.conj().T)
 
 
 def identity(dims) -> DenseTensor:
@@ -161,7 +168,7 @@ def identity(dims) -> DenseTensor:
 
 
 def zeros(shape: GroupedShape) -> DenseTensor:
-    return DenseTensor(shape, np.zeros(shape.row_count * shape.col_count))
+    return DenseTensor(shape, np.zeros((shape.row_count, shape.col_count)))
 
 
 def _require_same_shape(a: DenseTensor, b: DenseTensor, op: str) -> None:
@@ -171,26 +178,26 @@ def _require_same_shape(a: DenseTensor, b: DenseTensor, op: str) -> None:
 
 def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _require_same_shape(a, b, "add")
-    return DenseTensor(a.shape, a.data + b.data)
+    return DenseTensor(a.shape, a.matrix + b.matrix)
 
 
 def sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _require_same_shape(a, b, "sub")
-    return DenseTensor(a.shape, a.data - b.data)
+    return DenseTensor(a.shape, a.matrix - b.matrix)
 
 
 def scale(a: DenseTensor, c) -> DenseTensor:
-    return DenseTensor(a.shape, a.data * complex(c))
+    return DenseTensor(a.shape, a.matrix * complex(c))
 
 
 def frobenius_norm(a: DenseTensor) -> float:
-    return float(np.linalg.norm(a.entries))
+    return float(np.linalg.norm(a.matrix))
 
 
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
     """Largest entrywise absolute difference; used for golden-value checks."""
     _require_same_shape(a, b, "max_abs_diff")
-    return float(np.max(np.abs(a.data - b.data)))
+    return float(np.max(np.abs(a.matrix - b.matrix)))
 
 
 def rel_residual(lhs: DenseTensor, rhs: DenseTensor) -> float:
@@ -200,7 +207,7 @@ def rel_residual(lhs: DenseTensor, rhs: DenseTensor) -> float:
     absolute test instead of dividing by a vanishing norm.
     """
     _require_same_shape(lhs, rhs, "rel_residual")
-    diff = float(np.linalg.norm(lhs.data - rhs.data))
+    diff = float(np.linalg.norm(lhs.matrix - rhs.matrix))
     return diff / max(1.0, frobenius_norm(lhs), frobenius_norm(rhs))
 
 

@@ -9,20 +9,8 @@ class ShapeMismatch(EinverseError, ValueError):
     """Index groups are incompatible for the requested operation."""
 
 
-class NotSquare(ShapeMismatch):
-    """An ordinary inverse was requested for a non-square grouped shape."""
-
-
-class Singular(EinverseError, ArithmeticError):
-    """The unfolded tensor is singular at the active rank threshold."""
-
-
 class NumericalFailure(EinverseError, ArithmeticError):
     """A numerical routine failed to converge or to satisfy a cross-check."""
-
-
-class FactorizationMismatch(EinverseError, ValueError):
-    """A user-supplied product tensor disagrees with the factor product."""
 
 
 class ParseError(EinverseError, ValueError):

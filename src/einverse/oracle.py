@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DenseTensor, GroupedShape, approx_eq, rel_residual
+from .core import DenseTensor, GroupedShape, rel_residual
 from .errors import NumericalFailure, ShapeMismatch
 from .pinv import RankPolicy, mp_inverse, unfold, verify_penrose
 from .product import (
@@ -39,20 +39,6 @@ def oracle_unfold(a: DenseTensor) -> np.ndarray:
         for ci, ctuple in enumerate(itertools.product(*(range(d) for d in a.shape.col_dims))):
             out[ri, ci] = a.at(*rtuple, *ctuple)
     return out
-
-
-def oracle_fold(matrix: np.ndarray, shape: GroupedShape) -> DenseTensor:
-    """Inverse of :func:`oracle_unfold`, again via explicit index traversal."""
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (shape.row_count, shape.col_count):
-        raise ShapeMismatch(f"matrix {m.shape} does not fold into {shape}")
-    flat = np.empty(shape.row_count * shape.col_count, dtype=np.complex128)
-    pos = 0
-    for ri in range(shape.row_count):
-        for ci in range(shape.col_count):
-            flat[pos] = m[ri, ci]
-            pos += 1
-    return DenseTensor(shape, flat)
 
 
 def oracle_pinv(matrix, policy: RankPolicy | None = None) -> np.ndarray:
@@ -116,6 +102,7 @@ class InstanceSpec:
 
 
 GENUINE_FLOOR = 1e-4  # smallest accepted genuine sigma, relative to sigma_max
+_MAX_ATTEMPTS = 64  # draws per spec before generation gives up
 
 
 def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -188,14 +175,14 @@ def _factorization_is_clean(f: Factorization) -> bool:
     return all(clean_spectrum(m) for m in screened)
 
 
-def gen_factorization(spec: InstanceSpec, max_attempts: int = 64) -> Factorization:
+def gen_factorization(spec: InstanceSpec) -> Factorization:
     """Chain-compatible (R, S, T) with controlled unfolded ranks.
 
     Pure function of `spec`: the same recipe always yields bit-identical
     tensors.  Draws whose derived products have ambiguous spectra (see
     :func:`clean_spectrum`) are rejected and redrawn deterministically.
     """
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         rng = np.random.Generator(np.random.PCG64((spec.seed, attempt)))
         r = gen_tensor(rng, spec.row_dims, spec.mid_dims_1, spec.rank_profile, spec.deficiency)
         s = gen_tensor(rng, spec.mid_dims_1, spec.mid_dims_2, spec.rank_profile, spec.deficiency)
@@ -204,7 +191,7 @@ def gen_factorization(spec: InstanceSpec, max_attempts: int = 64) -> Factorizati
         if _factorization_is_clean(f):
             return f
     raise NumericalFailure(
-        f"no numerically clean factorization in {max_attempts} draws for {spec}"
+        f"no numerically clean factorization in {_MAX_ATTEMPTS} draws for {spec}"
     )
 
 

@@ -17,12 +17,12 @@ from .core import (
     einstein_product,
     rel_residual,
 )
-from .errors import NotSquare, NumericalFailure, ShapeMismatch, Singular
+from .errors import NumericalFailure, ShapeMismatch
 
 
 def unfold(a: DenseTensor) -> np.ndarray:
     """Matrix view of the tensor: rows = linearized row group, cols = col group."""
-    return a.data.reshape(a.shape.row_count, a.shape.col_count)
+    return a.matrix
 
 
 def fold(matrix, shape: GroupedShape) -> DenseTensor:
@@ -154,24 +154,3 @@ def verify_penrose(a: DenseTensor, x: DenseTensor, tol: float = 1e-10) -> Penros
     r4 = rel_residual(conj_transpose(xa), xa)
     passed = all(r <= tol for r in (r1, r2, r3, r4))
     return PenroseReport(r1, r2, r3, r4, tol, passed)
-
-
-def ordinary_inverse(a: DenseTensor, policy: RankPolicy | None = None) -> DenseTensor:
-    """Two-sided inverse for square grouped shapes.
-
-    Raises Singular when the smallest singular value falls at or below the
-    policy's truncation threshold.
-    """
-    if a.shape.row_dims != a.shape.col_dims:
-        raise NotSquare(f"ordinary inverse needs row dims == col dims, got {a.shape}")
-    policy = policy or RankPolicy()
-    m = unfold(a)
-    u, s, vh = _svd(m)
-    rank, cutoff, _ = _truncation(s, m.shape, policy)
-    if rank < m.shape[0]:
-        raise Singular(
-            f"unfolding is singular: rank {rank} < {m.shape[0]} "
-            f"(smallest sigma {s[-1]:.3e}, cutoff {cutoff:.3e})"
-        )
-    inv = (vh.conj().T * (1.0 / s)) @ u.conj().T
-    return fold(inv, a.shape.transposed)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report structure, output files."""
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import einverse
 from einverse import load_tensor, max_abs_diff, save_tensor
 from einverse.bundled import default_assets_dir
 from einverse.cli import main
@@ -190,9 +192,13 @@ def test_usage_error_exit_code():
 def test_console_script_end_to_end(tmp_path):
     exe = shutil.which("einverse")
     cmd = [exe] if exe else [sys.executable, "-m", "einverse.cli"]
+    # the child must import the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(einverse.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         cmd + ["examples", "paper", "--which", "sec4"],
         capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

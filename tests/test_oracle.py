@@ -9,7 +9,6 @@ from einverse.oracle import (
     exhaustive_small_check,
     gen_factorization,
     gen_tensor,
-    oracle_fold,
     oracle_pinv,
     oracle_unfold,
     random_spec,
@@ -27,13 +26,6 @@ def seeded(seed):
 def test_oracle_unfold_matches_main_route():
     t = random_tensor(seeded(0), (2, 3), (2, 2))
     assert np.array_equal(oracle_unfold(t), unfold(t))
-
-
-def test_oracle_fold_roundtrip():
-    t = random_tensor(seeded(1), (2,), (3, 2))
-    assert oracle_fold(oracle_unfold(t), t.shape) == t
-    with pytest.raises(ShapeMismatch):
-        oracle_fold(np.eye(3), t.shape)
 
 
 def test_oracle_pinv_identity():

@@ -1,4 +1,4 @@
-"""Moore-Penrose inverse, Penrose verification, ordinary inverse, rank policies."""
+"""Moore-Penrose inverse, Penrose verification, rank policies."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from einverse import (
     GroupedShape,
-    NotSquare,
     RankPolicy,
     ShapeMismatch,
-    Singular,
     approx_eq,
     conj_transpose,
     einstein_product,
@@ -18,7 +16,6 @@ from einverse import (
     max_abs_diff,
     mp_inverse,
     mp_inverse_info,
-    ordinary_inverse,
     unfold,
     verify_penrose,
     zeros,
@@ -189,31 +186,3 @@ def test_borderline_detection():
     _, info = mp_inverse_info(marginal, RankPolicy("absolute", 1e-4))
     assert info.borderline
 
-
-# --- ordinary inverse ---------------------------------------------------------
-
-def test_ordinary_inverse_identity():
-    i = identity([2, 2])
-    assert approx_eq(ordinary_inverse(i), i, 1e-12)
-
-
-def test_ordinary_inverse_diagonal():
-    shape = GroupedShape((2, 2), (2, 2))
-    t = fold(np.diag([2.0, 4.0, 5.0, 10.0]), shape)
-    inv = ordinary_inverse(t)
-    assert np.allclose(unfold(inv), np.diag([0.5, 0.25, 0.2, 0.1]))
-    both = einstein_product(t, inv)
-    assert approx_eq(both, identity([2, 2]), 1e-10)
-    assert approx_eq(einstein_product(inv, t), identity([2, 2]), 1e-10)
-
-
-def test_ordinary_inverse_rejects_rank_deficient():
-    a = golden_tensor("3.1", "A")
-    assert np.linalg.matrix_rank(unfold(a)) == 3
-    with pytest.raises(Singular):
-        ordinary_inverse(a)
-
-
-def test_ordinary_inverse_rejects_rectangular():
-    with pytest.raises(NotSquare):
-        ordinary_inverse(random_tensor(seeded(3), (2,), (3,)))
