@@ -70,14 +70,13 @@ def load_asset(name: str, assets_dir: str | Path | None = None) -> DenseTensor:
 
 
 class _Recorder:
-    def __init__(self, report: ExampleReport, tol: float):
+    def __init__(self, report: ExampleReport):
         self.report = report
-        self.tol = tol
 
     def golden(self, name: str, computed: DenseTensor, expected: DenseTensor):
         err = max_abs_diff(computed, expected)
         self.report.checks.append(ExampleCheck(
-            name, err <= self.tol, f"max abs error {err:.3e} (tol {self.tol:g})"
+            name, err <= GOLDEN_TOL, f"max abs error {err:.3e} (tol {GOLDEN_TOL:g})"
         ))
 
     def gap(self, name: str, a: DenseTensor, b: DenseTensor, minimum: float = SEPARATION):
@@ -102,18 +101,13 @@ def _load_set(which: str, assets_dir) -> dict[str, DenseTensor]:
     }
 
 
-def run_example(
-    which: str,
-    assets_dir: str | Path | None = None,
-    tol_golden: float = GOLDEN_TOL,
-    tol_law: float = LAW_TOL,
-) -> ExampleReport:
+def run_example(which: str, assets_dir: str | Path | None = None) -> ExampleReport:
     """Reproduce one worked example against its golden values."""
     if which not in EXAMPLE_NAMES:
         raise ValueError(f"unknown example {which!r}; choose from {EXAMPLE_NAMES}")
     start = time.perf_counter()
     report = ExampleReport(which=which)
-    rec = _Recorder(report, tol_golden)
+    rec = _Recorder(report)
     g = _load_set(which, assets_dir)
 
     f = Factorization(g["R"], g["S"], g["T"])
@@ -129,11 +123,11 @@ def run_example(
         rec.golden("b_tensor", f.b, g["B"])
         rec.golden("c_tensor", f.c, g["C"])
         rec.gap("product_mp_differs_from_mp", f.a_pi, f.a_pinv)
-        rec.verdict("coincidence_is_false", check_coincidence(f, tol_law), False)
-        rec.verdict("y_decomposition_is_true", check_y_decomposition(f, tol_law), True)
-        rec.verdict("triple_rol_is_false", triple_rol_check(f, tol_law), False)
-        rec.verdict("involution_holds", product_mp_involution(f, tol_law), True)
-        cross = check_b_c_cross(f, tol_law)
+        rec.verdict("coincidence_is_false", check_coincidence(f, LAW_TOL), False)
+        rec.verdict("y_decomposition_is_true", check_y_decomposition(f, LAW_TOL), True)
+        rec.verdict("triple_rol_is_false", triple_rol_check(f, LAW_TOL), False)
+        rec.verdict("involution_holds", product_mp_involution(f, LAW_TOL), True)
+        cross = check_b_c_cross(f, LAW_TOL)
         report.checks.append(ExampleCheck(
             "b_c_cross_consistent", not cross.ambiguous,
             f"pairings consistent: {not cross.ambiguous}"
@@ -146,13 +140,13 @@ def run_example(
         rec.golden("reverse_order_law_holds", f.w, f.a_pinv)
         rec.golden("product_mp", f.a_pi, g["product_mp"])
         rec.gap("product_mp_differs_from_mp", f.a_pi, f.a_pinv)
-        rec.verdict("triple_rol_is_true", triple_rol_check(f, tol_law), True)
-        rec.verdict("coincidence_is_false", check_coincidence(f, tol_law), False)
-        rec.verdict("y_decomposition_is_false", check_y_decomposition(f, tol_law), False)
+        rec.verdict("triple_rol_is_true", triple_rol_check(f, LAW_TOL), True)
+        rec.verdict("coincidence_is_false", check_coincidence(f, LAW_TOL), False)
+        rec.verdict("y_decomposition_is_false", check_y_decomposition(f, LAW_TOL), False)
     else:  # sec4
         rec.golden("reverse_chain", f.w, g["reverse_chain"])
         rec.gap("mp_differs_from_reverse_chain", f.a_pinv, f.w)
-        rec.verdict("triple_rol_is_false", triple_rol_check(f, tol_law), False)
+        rec.verdict("triple_rol_is_false", triple_rol_check(f, LAW_TOL), False)
 
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -201,16 +201,18 @@ def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
 
 
 def rel_residual(lhs: DenseTensor, rhs: DenseTensor) -> float:
-    """Relative Frobenius residual with max(1, norms) damping.
+    """||lhs - rhs||_F / max(||lhs||_F, ||rhs||_F), and 0 when both are zero.
 
-    The damping makes comparisons against (near-)zero tensors degrade to an
-    absolute test instead of dividing by a vanishing norm.
+    There is no absolute floor, so the residual does not change when both
+    sides are scaled by the same nonzero factor, and no verdict built on it
+    depends on how the factors of a chain are scaled.  A nonzero tensor
+    against zero gives 1.
     """
     _require_same_shape(lhs, rhs, "rel_residual")
-    diff = float(np.linalg.norm(lhs.matrix - rhs.matrix))
-    return diff / max(1.0, frobenius_norm(lhs), frobenius_norm(rhs))
+    scale = max(frobenius_norm(lhs), frobenius_norm(rhs))
+    return float(np.linalg.norm(lhs.matrix - rhs.matrix)) / scale if scale else 0.0
 
 
 def approx_eq(a: DenseTensor, b: DenseTensor, rel_tol: float) -> bool:
-    """True iff ||a - b||_F <= rel_tol * max(1, ||a||_F, ||b||_F)."""
+    """True iff ||a - b||_F <= rel_tol * max(||a||_F, ||b||_F)."""
     return rel_residual(a, b) <= rel_tol

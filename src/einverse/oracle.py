@@ -111,20 +111,20 @@ def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
     return re + 1j * im
 
 
-def clean_spectrum(matrix: np.ndarray, floor: float = GENUINE_FLOOR) -> bool:
+def clean_spectrum(matrix: np.ndarray) -> bool:
     """True when every singular value is clearly signal or clearly noise.
 
     Products of rank-deficient factors carry roundoff singular values scaled
-    by the factor norms; when those land inside (default cutoff, floor) the
-    rank decision is ambiguous and no tolerance can be honest about it, so
-    generated test instances with such spectra are rejected and redrawn.
+    by the factor norms; when those land between the default cutoff and
+    GENUINE_FLOOR the rank decision is ambiguous and no tolerance can be honest
+    about it, so generated instances with such spectra are rejected and redrawn.
     """
     s = np.linalg.svd(np.asarray(matrix), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return True
     rel = s / s[0]
     cutoff = max(matrix.shape) * np.finfo(float).eps
-    return not np.any((rel > cutoff) & (rel < floor))
+    return not np.any((rel > cutoff) & (rel < GENUINE_FLOOR))
 
 
 def _deficient(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -195,11 +195,11 @@ def gen_factorization(spec: InstanceSpec) -> Factorization:
     )
 
 
-def random_spec(seed: int, max_dim: int = 2, max_modes: int = 2) -> InstanceSpec:
-    """Derive a small random InstanceSpec from a seed (profile included)."""
+def random_spec(seed: int, max_dim: int = 2) -> InstanceSpec:
+    """Derive a small random InstanceSpec (1 or 2 modes per group) from a seed."""
     rng = np.random.Generator(np.random.PCG64(seed ^ 0x5EED))
     def group():
-        modes = int(rng.integers(1, max_modes + 1))
+        modes = int(rng.integers(1, 3))
         return tuple(int(rng.integers(1, max_dim + 1)) for _ in range(modes))
     profile = ("full", "full", "deficient", "projector")[int(rng.integers(0, 4))]
     if profile == "projector":
@@ -219,7 +219,6 @@ class Violation:
     seed: int
     invariant: str
     residual: float
-    detail: str = ""
 
 
 @dataclass
@@ -303,10 +302,10 @@ def _battery(f: Factorization, seed: int, record, corrupt_b: bool = False) -> No
     check_eq("two_factor_corollary", two_factor_corollary(f.s, f.t), st_dag)
 
 
-def single_entry_bump(x: DenseTensor, eps: float = 1e-3) -> DenseTensor:
-    """A deterministic single-entry perturbation used as a negative control."""
+def single_entry_bump(x: DenseTensor) -> DenseTensor:
+    """A deterministic single-entry perturbation (1e-3) used as a negative control."""
     flat = np.zeros(x.shape.row_count * x.shape.col_count, dtype=np.complex128)
-    flat[0] = eps
+    flat[0] = 1e-3
     return DenseTensor(x.shape, flat)
 
 

@@ -19,7 +19,6 @@ together with the direct equality it is equivalent to.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,10 +56,13 @@ class LawReport:
     `condition_residuals` are the residuals that gate the verdict:
     verdict == all(residual <= tolerance).  For iff-theorems the report also
     records `direct_residual`, the residual of the equality the criterion is
-    equivalent to; `ambiguous` is set when the two verdicts disagree, which
-    in exact arithmetic cannot happen and numerically flags a borderline
-    rank decision rather than a trustworthy answer.  `aux_residuals` are
-    recorded for diagnosis but never gate the verdict.
+    equivalent to; `ambiguous` is set when that equality, or a dual pairing
+    the theorem ties to the verdict, disagrees with it.  That cannot happen
+    in exact arithmetic, and rescaling the factors cannot cause it because
+    every residual is relative to its larger operand (:func:`rel_residual`);
+    it flags a borderline rank decision rather than a trustworthy answer.
+    `aux_residuals` are recorded for diagnosis but never gate the verdict.
+    Every report is built by :func:`_report`.
     """
 
     law_id: LawId
@@ -71,6 +73,30 @@ class LawReport:
     aux_residuals: dict[str, float] = field(default_factory=dict)
     ambiguous: bool = False
     warnings: tuple[str, ...] = ()
+
+
+def _report(
+    law_id: LawId,
+    f: Factorization,
+    conditions: dict[str, float],
+    tol: float,
+    *,
+    direct: float | None = None,
+    aux: dict[str, float] | None = None,
+    dual_disagrees: bool = False,
+) -> LawReport:
+    """The only LawReport builder; a disagreeing iff partner sets `ambiguous`."""
+    verdict = all(v <= tol for v in conditions.values())
+    return LawReport(
+        law_id=law_id,
+        condition_residuals=conditions,
+        verdict=verdict,
+        tolerance=tol,
+        direct_residual=direct,
+        aux_residuals=aux or {},
+        ambiguous=dual_disagrees or (direct is not None and (direct <= tol) != verdict),
+        warnings=f.warnings,
+    )
 
 
 def _borderline_warning(label: str, info: SvdInfo) -> str | None:
@@ -289,39 +315,14 @@ def verify_product_penrose(
         "absorbs_r": rel_residual((x @ f.r) @ f.r_pinv, x),
         "absorbs_t": rel_residual((f.t_pinv @ f.t) @ x, x),
     }
-    return LawReport(
-        law_id=LawId.PRODUCT_PENROSE,
-        condition_residuals=residuals,
-        verdict=all(v <= tol for v in residuals.values()),
-        tolerance=tol,
-        aux_residuals={"candidate_vs_canonical": rel_residual(x, f.a_pi)},
-        warnings=f.warnings,
+    return _report(
+        LawId.PRODUCT_PENROSE, f, residuals, tol,
+        aux={"candidate_vs_canonical": rel_residual(x, f.a_pi)},
     )
 
 
 # ---------------------------------------------------------------------------
 # iff-theorem checkers
-
-
-def _iff_report(
-    law_id: LawId,
-    f: Factorization,
-    conditions: dict[str, float],
-    direct: float,
-    tol: float,
-    aux: dict[str, float] | None = None,
-) -> LawReport:
-    verdict = all(v <= tol for v in conditions.values())
-    return LawReport(
-        law_id=law_id,
-        condition_residuals=conditions,
-        verdict=verdict,
-        tolerance=tol,
-        direct_residual=direct,
-        aux_residuals=aux or {},
-        ambiguous=(direct <= tol) != verdict,
-        warnings=f.warnings,
-    )
 
 
 def check_coincidence(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport:
@@ -336,8 +337,8 @@ def check_coincidence(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawRepo
         "core_pinv_vs_transported_pinv": rel_residual(f.core_pinv, transported),
         "b_equals_c": rel_residual(f.b, f.c),
     }
-    return _iff_report(
-        LawId.COINCIDENCE, f, conditions, rel_residual(f.a_pi, f.a_pinv), tol
+    return _report(
+        LawId.COINCIDENCE, f, conditions, tol, direct=rel_residual(f.a_pi, f.a_pinv)
     )
 
 
@@ -351,18 +352,12 @@ def check_b_c_cross(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport
     """
     r_b_pi = rel_residual(f.b, f.a_pi)
     r_c_dag = rel_residual(f.c, f.a_pinv)
-    report = _iff_report(
-        LawId.B_CROSS,
-        f,
-        {"b_vs_mp": rel_residual(f.b, f.a_pinv)},
-        rel_residual(f.c, f.a_pi),
-        tol,
+    return _report(
+        LawId.B_CROSS, f, {"b_vs_mp": rel_residual(f.b, f.a_pinv)}, tol,
+        direct=rel_residual(f.c, f.a_pi),
         aux={"b_vs_product_mp": r_b_pi, "c_vs_mp": r_c_dag},
+        dual_disagrees=(r_b_pi <= tol) != (r_c_dag <= tol),
     )
-    dual_disagrees = (r_b_pi <= tol) != (r_c_dag <= tol)
-    if dual_disagrees and not report.ambiguous:
-        return dataclasses.replace(report, ambiguous=True)
-    return report
 
 
 def check_y_decomposition(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport:
@@ -370,17 +365,16 @@ def check_y_decomposition(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> Law
 
     Criterion: the gap Y = S+ - (R+ * A * T+)+ vanishes under the two-sided
     projection T+ * Y * R+.  The projection's two terms are W and A_pi, so
-    its norm and the direct gap |A_pi - W| are both measured against the
-    larger of theirs, with no absolute floor: the verdict does not move when
-    the factors are rescaled.
+    the projection's norm is measured against the larger of theirs, as
+    :func:`rel_residual` measures the direct gap |A_pi - W|.
     """
     projected = (f.t_pinv @ sub(f.s_pinv, f.core_pinv)) @ f.r_pinv
     scale = max(frobenius_norm(f.w), frobenius_norm(f.a_pi))
-    gap, direct = (
-        (frobenius_norm(projected) / scale, frobenius_norm(sub(f.a_pi, f.w)) / scale)
-        if scale else (0.0, 0.0)
+    gap = frobenius_norm(projected) / scale if scale else 0.0
+    return _report(
+        LawId.Y_DECOMPOSITION, f, {"projected_gap": gap}, tol,
+        direct=rel_residual(f.a_pi, f.w),
     )
-    return _iff_report(LawId.Y_DECOMPOSITION, f, {"projected_gap": gap}, direct, tol)
 
 
 def product_mp_involution(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawReport:
@@ -391,13 +385,8 @@ def product_mp_involution(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> Law
     the rank kept for core+, which is core * core+ * core: no further SVD.
     """
     twice = (f.r @ ((f.core @ f.core_pinv) @ f.core)) @ f.t
-    residual = rel_residual(twice, f.a)
-    return LawReport(
-        law_id=LawId.INVOLUTION,
-        condition_residuals={"double_product_mp_vs_input": residual},
-        verdict=residual <= tol,
-        tolerance=tol,
-        warnings=f.warnings,
+    return _report(
+        LawId.INVOLUTION, f, {"double_product_mp_vs_input": rel_residual(twice, f.a)}, tol
     )
 
 
@@ -425,13 +414,11 @@ def triple_rol_check(f: Factorization, tol: float = DEFAULT_LAW_TOL) -> LawRepor
         "iii_row_gram_hermitian": rel_residual(conj_transpose(gram_r), gram_r),
         "iv_col_gram_hermitian": rel_residual(conj_transpose(gram_t), gram_t),
     }
-    return _iff_report(
-        LawId.TRIPLE_ROL, f, conditions, rel_residual(f.a_pinv, w), tol
+    return _report(
+        LawId.TRIPLE_ROL, f, conditions, tol, direct=rel_residual(f.a_pinv, w)
     )
 
 
-def identity_factorization(a: DenseTensor, policy: RankPolicy | None = None) -> Factorization:
+def identity_factorization(a: DenseTensor) -> Factorization:
     """Wrap a tensor in the trivial chain identity * A * identity."""
-    return Factorization(
-        identity(a.shape.row_dims), a, identity(a.shape.col_dims), policy=policy
-    )
+    return Factorization(identity(a.shape.row_dims), a, identity(a.shape.col_dims))

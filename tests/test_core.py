@@ -16,6 +16,7 @@ from einverse import (
     identity,
     mp_inverse,
     max_abs_diff,
+    rel_residual,
     scale,
     sub,
     zeros,
@@ -180,7 +181,15 @@ def test_norm_and_approx_eq():
         approx_eq(a, zeros(GroupedShape((2,), (2,))), 1e-6)
 
 
-def test_approx_eq_damps_small_norms():
+def test_rel_residual_is_scale_free():
     shape = GroupedShape((2,), (2,))
+    zero = zeros(shape)
+    assert rel_residual(zero, zero) == 0.0
+    x, y = random_tensor(seeded(5), (2,), (2,)), random_tensor(seeded(6), (2,), (2,))
+    assert rel_residual(x, zero) == 1.0
+    # a power of two rescales every entry exactly, so the residual is bit-identical
+    for k in (-60, -20, -1, 1, 20, 60):
+        assert rel_residual(x * 2.0 ** k, y * 2.0 ** k) == rel_residual(x, y), k
+    # no absolute floor: a tiny tensor is not "equal" to zero
     tiny = DenseTensor(shape, [1e-14, 0, 0, 0])
-    assert approx_eq(tiny, zeros(shape), 1e-12)
+    assert not approx_eq(tiny, zero, 1e-12)

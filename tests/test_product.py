@@ -345,21 +345,23 @@ def test_y_decomposition_verdicts():
     assert check_y_decomposition(identity_factorization(a)).verdict
 
 
-@pytest.mark.parametrize("k", [-8, -5, -3])
-def test_y_decomposition_survives_small_scales(k):
-    # tiny factors make W and A_pi huge; the gap must be measured against them
-    f = Factorization(*(golden_tensor("3.1", n) * 10.0 ** k for n in "RST"))
-    rep = check_y_decomposition(f)
-    assert rep.verdict and not rep.ambiguous
+LAW_CHECKERS = (check_coincidence, check_b_c_cross, check_y_decomposition,
+                product_mp_involution, triple_rol_check)
 
 
-@pytest.mark.parametrize("k", [3, 5, 8])
-@pytest.mark.parametrize("which,holds", [("3.1", True), ("exmppgi", False), ("sec4", False)])
-def test_y_decomposition_survives_large_scales(which, holds, k):
-    # large factors make W and A_pi tiny; an absolute floor would call them equal
-    f = Factorization(*(golden_tensor(which, n) * 10.0 ** k for n in "RST"))
-    rep = check_y_decomposition(f)
-    assert rep.verdict == holds and not rep.ambiguous
+@pytest.mark.parametrize("pattern", ["RST", "R", "S", "T"])
+@pytest.mark.parametrize("k", [-8, -5, -3, 3, 5, 8])
+@pytest.mark.parametrize("which", ["3.1", "exmppgi", "sec4"])
+def test_verdicts_survive_rescaled_factors(which, k, pattern):
+    # each law holds for (cR, S, T) exactly when it holds for (R, S, T); an
+    # absolute floor in a residual would call tiny inverses equal
+    f = fact(which)
+    scaled = Factorization(*(
+        golden_tensor(which, n) * (10.0 ** k if n in pattern else 1.0) for n in "RST"
+    ))
+    for check in LAW_CHECKERS:
+        rep = check(scaled)
+        assert (rep.verdict, rep.ambiguous) == (check(f).verdict, False), check.__name__
 
 
 def test_involution_checker():
