@@ -14,7 +14,7 @@ import time
 
 from . import bundled
 from .errors import EinverseError
-from .oracle import exhaustive_small_check
+from .oracle import MAX_FUZZ_DIM, exhaustive_small_check
 from .pinv import RankPolicy, mp_inverse, verify_penrose
 from .product import (
     Factorization,
@@ -62,6 +62,20 @@ def _parse_policy(text: str) -> RankPolicy:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad policy value {value!r}") from exc
     return RankPolicy(mode, parsed)
+
+
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type: an int in [low, high] (no upper limit when high is None)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low or (high is not None and value > high):
+            bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
+        return value
+    return parse
 
 
 def _report(argv, inputs, body, started) -> dict:
@@ -237,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("fuzz", help="randomized invariant battery")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-dim", type=int, default=2)
+    p.add_argument("--trials", type=_bounded_int(0), default=50)
+    p.add_argument("--max-dim", type=_bounded_int(1, MAX_FUZZ_DIM), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fuzz)
 

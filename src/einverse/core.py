@@ -9,9 +9,22 @@ and whose columns run over the column-group tuples, each row-major with the
 last index fastest.  Under that isomorphism the Einstein product is the
 matrix product and the conjugate transpose is the matrix adjoint; the N-mode
 array and the flat entry list are reshape views of the same buffer.
+
+The kernel is kept thin because the paper's tensors are tiny (4x4
+unfoldings), so per-call Python overhead, not arithmetic, sets the run time:
+
+- a shape is validated once, its derived sizes are computed once, and the
+  shapes the library derives (products, transposes) are interned;
+- the public :class:`DenseTensor` constructor checks and copies outside
+  input, while the library's own results, freshly allocated C-contiguous
+  complex128 matrices, are wrapped as they are by ``DenseTensor._wrap``;
+- norms do :func:`numpy.linalg.norm`'s arithmetic without its dispatch.
+
+None of this changes a bit of any result.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,22 +49,22 @@ class GroupedShape:
             if any(d < 1 for d in dims):
                 raise ShapeMismatch(f"{name} must be positive, got {dims}")
 
-    @property
+    @functools.cached_property
     def row_count(self) -> int:
         return math.prod(self.row_dims)
 
-    @property
+    @functools.cached_property
     def col_count(self) -> int:
         return math.prod(self.col_dims)
 
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return self.row_dims + self.col_dims
 
-    @property
+    @functools.cached_property
     def transposed(self) -> "GroupedShape":
         """Shape of the conjugate transpose: groups swapped."""
-        return GroupedShape(self.col_dims, self.row_dims)
+        return _derived_shape(self.col_dims, self.row_dims)
 
     def __str__(self) -> str:
         r = "x".join(map(str, self.row_dims))
@@ -59,12 +72,18 @@ class GroupedShape:
         return f"({r} | {c})"
 
 
+@functools.lru_cache(maxsize=1024)
+def _derived_shape(row_dims: tuple[int, ...], col_dims: tuple[int, ...]) -> GroupedShape:
+    """The one GroupedShape for dims taken from shapes that were already validated."""
+    return GroupedShape(row_dims, col_dims)
+
+
 class DenseTensor:
     """Dense complex tensor over a :class:`GroupedShape`, stored as its unfolding.
 
-    Immutable: the backing matrix is C-contiguous and marked read-only at
-    construction, and every operation returns a fresh tensor, so values are
-    safe to share across threads.
+    Immutable: the constructor copies `entries` into a C-contiguous matrix
+    that no caller holds and marks it read-only, and every operation returns
+    a fresh tensor, so values are safe to share across threads.
     """
 
     __slots__ = ("shape", "matrix")
@@ -76,10 +95,25 @@ class DenseTensor:
             raise ShapeMismatch(
                 f"shape {shape} needs {rows * cols} entries, got {arr.size}"
             )
-        arr = np.ascontiguousarray(arr.reshape(rows, cols))
+        arr = arr.reshape(rows, cols).copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "matrix", arr)
+        _set_shape(self, shape)
+        _set_matrix(self, arr)
+
+    @classmethod
+    def _wrap(cls, shape: GroupedShape, matrix: np.ndarray) -> "DenseTensor":
+        """Adopt a matrix the library has just allocated, without check or copy.
+
+        `matrix` must be a fresh, C-contiguous complex128 array of shape
+        (shape.row_count, shape.col_count) that nothing else references; it
+        is marked read-only here.  Outside input goes through the
+        constructor instead.
+        """
+        matrix.setflags(write=False)
+        t = object.__new__(cls)
+        _set_shape(t, shape)
+        _set_matrix(t, matrix)
+        return t
 
     def __setattr__(self, name, value):
         raise AttributeError("DenseTensor is immutable")
@@ -136,6 +170,11 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape}, norm={frobenius_norm(self):.6g})"
 
 
+# The slots' own setters, since DenseTensor.__setattr__ refuses every write.
+_set_shape = DenseTensor.shape.__set__
+_set_matrix = DenseTensor.matrix.__set__
+
+
 def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Contract a's column group against b's row group.
 
@@ -148,15 +187,15 @@ def einstein_product(a: DenseTensor, b: DenseTensor) -> DenseTensor:
             f"cannot contract {a.shape} with {b.shape}: "
             f"col group {a.shape.col_dims} != row group {b.shape.row_dims}"
         )
-    shape = GroupedShape(a.shape.row_dims, b.shape.col_dims)
+    shape = _derived_shape(a.shape.row_dims, b.shape.col_dims)
     # np.dot, not matmul: matmul rounds differently when the contracted size
     # is 1, and the fuzz generator's spectrum screening sees that last bit.
-    return DenseTensor(shape, np.dot(a.matrix, b.matrix))
+    return DenseTensor._wrap(shape, np.dot(a.matrix, b.matrix))
 
 
 def conj_transpose(a: DenseTensor) -> DenseTensor:
     """Swap the index groups and conjugate every entry."""
-    return DenseTensor(a.shape.transposed, a.matrix.conj().T)
+    return DenseTensor._wrap(a.shape.transposed, np.conjugate(a.matrix.T, order="C"))
 
 
 def identity(dims) -> DenseTensor:
@@ -164,34 +203,47 @@ def identity(dims) -> DenseTensor:
     dims = tuple(int(d) for d in dims)
     shape = GroupedShape(dims, dims)
     n = shape.row_count
-    return DenseTensor(shape, np.eye(n, dtype=np.complex128))
+    return DenseTensor._wrap(shape, np.eye(n, dtype=np.complex128))
 
 
 def zeros(shape: GroupedShape) -> DenseTensor:
-    return DenseTensor(shape, np.zeros((shape.row_count, shape.col_count)))
+    return DenseTensor._wrap(
+        shape, np.zeros((shape.row_count, shape.col_count), dtype=np.complex128)
+    )
 
 
 def _require_same_shape(a: DenseTensor, b: DenseTensor, op: str) -> None:
-    if a.shape != b.shape:
+    if a.shape is not b.shape and a.shape != b.shape:
         raise ShapeMismatch(f"{op} requires identical shapes, got {a.shape} and {b.shape}")
 
 
 def add(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _require_same_shape(a, b, "add")
-    return DenseTensor(a.shape, a.matrix + b.matrix)
+    return DenseTensor._wrap(a.shape, a.matrix + b.matrix)
 
 
 def sub(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _require_same_shape(a, b, "sub")
-    return DenseTensor(a.shape, a.matrix - b.matrix)
+    return DenseTensor._wrap(a.shape, a.matrix - b.matrix)
 
 
 def scale(a: DenseTensor, c) -> DenseTensor:
-    return DenseTensor(a.shape, a.matrix * complex(c))
+    return DenseTensor._wrap(a.shape, a.matrix * complex(c))
+
+
+def _norm(m: np.ndarray) -> float:
+    """np.linalg.norm(m) for a complex array, bit for bit, without its dispatch.
+
+    It is numpy's own arithmetic for that case: ravel, re.re + im.im as two
+    BLAS dot products, then the square root.
+    """
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def frobenius_norm(a: DenseTensor) -> float:
-    return float(np.linalg.norm(a.matrix))
+    return _norm(a.matrix)
 
 
 def max_abs_diff(a: DenseTensor, b: DenseTensor) -> float:
@@ -209,8 +261,8 @@ def rel_residual(lhs: DenseTensor, rhs: DenseTensor) -> float:
     against zero gives 1.
     """
     _require_same_shape(lhs, rhs, "rel_residual")
-    scale = max(frobenius_norm(lhs), frobenius_norm(rhs))
-    return float(np.linalg.norm(lhs.matrix - rhs.matrix)) / scale if scale else 0.0
+    scale = max(_norm(lhs.matrix), _norm(rhs.matrix))
+    return _norm(lhs.matrix - rhs.matrix) / scale if scale else 0.0
 
 
 def approx_eq(a: DenseTensor, b: DenseTensor, rel_tol: float) -> bool:

@@ -232,6 +232,7 @@ class CheckSummary:
         return not self.violations
 
 
+MAX_FUZZ_DIM = 3  # largest mode size the battery draws, to keep instances desk-scale
 _PINV_TOL = 1e-10
 _ORACLE_TOL = 1e-12
 
@@ -323,8 +324,13 @@ def exhaustive_small_check(
     must produce exactly one violation; it exists to prove the battery can
     fail.
     """
-    if max_dim > 3:
-        raise ValueError("max_dim is capped at 3 to keep instances desk-scale")
+    if not 1 <= max_dim <= MAX_FUZZ_DIM:
+        raise ValueError(
+            f"max_dim must be in 1..{MAX_FUZZ_DIM} (capped to keep instances "
+            f"desk-scale), got {max_dim}"
+        )
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     if inject_fault not in (None, "corrupt_b"):
         raise ValueError(f"unknown fault {inject_fault!r}")
     start = time.perf_counter()

@@ -26,7 +26,7 @@ def unfold(a: DenseTensor) -> np.ndarray:
 
 
 def fold(matrix, shape: GroupedShape) -> DenseTensor:
-    """Inverse of :func:`unfold` for the given grouped shape."""
+    """Inverse of :func:`unfold` for the given grouped shape; copies `matrix`."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (shape.row_count, shape.col_count):
         raise ShapeMismatch(
@@ -60,6 +60,10 @@ class RankPolicy:
             raise ValueError(f"{self.mode} threshold must be positive")
 
 
+_DEFAULT_POLICY = RankPolicy()
+_EPS = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class SvdInfo:
     """Spectrum diagnostics from one truncated-SVD pseudoinverse."""
@@ -77,41 +81,45 @@ def _svd(matrix: np.ndarray):
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
-def _truncation(s: np.ndarray, shape: tuple[int, int], policy: RankPolicy):
-    """Return (rank, cutoff, borderline) for the singular values `s`."""
-    smax = float(s[0]) if s.size else 0.0
+def _truncation(sv: tuple[float, ...], shape: tuple[int, int], policy: RankPolicy):
+    """Return (rank, cutoff, borderline) for the singular values `sv`, largest first.
+
+    Plain Python over the few floats of a small spectrum costs a fraction of
+    the equivalent numpy calls, and every comparison is the same exact one.
+    """
+    n = len(sv)
+    smax = sv[0] if n else 0.0
     if policy.mode == "fixed_rank":
-        rank = min(int(policy.value), s.size)
-        cutoff = float(s[rank]) if rank < s.size else 0.0
-        borderline = bool(
-            0 < rank < s.size and s[rank] > 0 and s[rank - 1] <= 10.0 * s[rank]
-        )
+        rank = min(int(policy.value), n)
+        cutoff = sv[rank] if rank < n else 0.0
+        borderline = 0 < rank < n and sv[rank] > 0 and sv[rank - 1] <= 10.0 * sv[rank]
         return rank, cutoff, borderline
     if policy.mode == "absolute":
         cutoff = float(policy.value)
     else:
-        rel = policy.value if policy.value is not None else max(shape) * np.finfo(float).eps
+        rel = policy.value if policy.value is not None else max(shape) * _EPS
         cutoff = float(rel) * smax
-    rank = int(np.sum(s > cutoff))
-    borderline = bool(cutoff > 0 and np.any((s >= cutoff / 10.0) & (s <= cutoff * 10.0)))
+    rank = sum(x > cutoff for x in sv)
+    low, high = cutoff / 10.0, cutoff * 10.0
+    borderline = cutoff > 0 and any(low <= x <= high for x in sv)
     return rank, cutoff, borderline
 
 
 def _svd_pinv(matrix: np.ndarray, policy: RankPolicy):
     u, s, vh = _svd(matrix)
-    rank, cutoff, borderline = _truncation(s, matrix.shape, policy)
+    sv = tuple(s.tolist())
+    rank, cutoff, borderline = _truncation(sv, matrix.shape, policy)
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
     pinv = (vh.conj().T * inv_s) @ u.conj().T
-    info = SvdInfo(tuple(float(x) for x in s), cutoff, rank, borderline)
-    return pinv, info
+    return pinv, SvdInfo(sv, cutoff, rank, borderline)
 
 
 def mp_inverse_info(a: DenseTensor, policy: RankPolicy | None = None):
     """Moore-Penrose inverse plus the SVD diagnostics behind it."""
-    policy = policy or RankPolicy()
-    pinv, info = _svd_pinv(unfold(a), policy)
-    return fold(pinv, a.shape.transposed), info
+    pinv, info = _svd_pinv(a.matrix, policy or _DEFAULT_POLICY)
+    # the assembly's matmul allocates a fresh C-contiguous complex128 matrix
+    return DenseTensor._wrap(a.shape.transposed, pinv), info
 
 
 def mp_inverse(a: DenseTensor, policy: RankPolicy | None = None) -> DenseTensor:

@@ -117,8 +117,8 @@ _OPERANDS = {
     "S+": lambda f: f.s,
     "A+": lambda f: f.a,
     "core+": lambda f: f.core,
-    "(A T+)+": lambda f: f.a @ f.t_pinv,
-    "(R+ A)+": lambda f: f.r_pinv @ f.a,
+    "(A T+)+": lambda f: f.at,
+    "(R+ A)+": lambda f: f.ra,
 }
 
 
@@ -127,11 +127,13 @@ class Factorization:
 
     The constructor recomputes the product from the factors, so the chain
     identity is exact by construction.  The consistency identities
-    R*R+*A = A = A*T+*T are asserted at construction as a numerical health
-    check.
+    R*(R+*A) = A = (A*T+)*T are asserted at construction as a numerical
+    health check.
 
     Every pseudoinverse of the chain is taken here, once per role and under
     the chain's policy, on first use; A_pi, B, C and W are built from them.
+    The one-sided transports R+*A and A*T+ are formed once each and shared
+    by the health check, core and the operands of (R+ A)+ and (A T+)+.
     """
 
     def __init__(
@@ -156,8 +158,8 @@ class Factorization:
         self.t = t
         self.a = (r @ s) @ t
         self._inverses: dict[str, tuple[DenseTensor, SvdInfo]] = {}
-        left = rel_residual((self.r @ self.r_pinv) @ self.a, self.a)
-        right = rel_residual((self.a @ self.t_pinv) @ self.t, self.a)
+        left = rel_residual(self.r @ self.ra, self.a)
+        right = rel_residual(self.at @ self.t, self.a)
         if max(left, right) > _HEALTH_TOL:
             raise NumericalFailure(
                 "factorization consistency check failed: "
@@ -181,9 +183,19 @@ class Factorization:
     ra_pinv = property(lambda self: self._pinv_of("(R+ A)+"))
 
     @cached_property
+    def ra(self) -> DenseTensor:
+        """R+ * A."""
+        return self.r_pinv @ self.a
+
+    @cached_property
+    def at(self) -> DenseTensor:
+        """A * T+."""
+        return self.a @ self.t_pinv
+
+    @cached_property
     def core(self) -> DenseTensor:
         """R+ * A * T+, the S-shaped tensor whose pseudoinverse drives A_pi."""
-        return (self.r_pinv @ self.a) @ self.t_pinv
+        return self.ra @ self.t_pinv
 
     @cached_property
     def a_pi(self) -> DenseTensor:

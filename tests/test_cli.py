@@ -187,6 +187,16 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--max-dim", "4"), ("--max-dim", "0"), ("--trials", "-3"), ("--trials", "many"),
+])
+def test_fuzz_rejects_arguments_it_cannot_run(flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", flag, value])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # --- console entry point (subprocess, end to end) ---------------------------------
 
 def test_console_script_end_to_end(tmp_path):

@@ -12,6 +12,7 @@ from einverse import (
     approx_eq,
     conj_transpose,
     einstein_product,
+    fold,
     frobenius_norm,
     identity,
     mp_inverse,
@@ -67,6 +68,16 @@ def test_immutability():
         t.data = None
     with pytest.raises(ValueError):
         t.data[0, 0] = 5.0
+
+
+def test_constructor_copies_callers_array():
+    shape = GroupedShape((2,), (2,))
+    m = np.eye(2, dtype=complex)
+    f = np.eye(2, dtype=complex)
+    t, u = DenseTensor(shape, m), fold(f, shape)
+    m[0, 0] = f[0, 0] = 5.0
+    assert t.matrix[0, 0] == u.matrix[0, 0] == 1.0
+    assert not np.shares_memory(t.matrix, m) and not np.shares_memory(u.matrix, f)
 
 
 # --- Einstein product --------------------------------------------------------
@@ -179,6 +190,38 @@ def test_norm_and_approx_eq():
     assert frobenius_norm(a) == pytest.approx(np.sqrt(6), abs=1e-15)
     with pytest.raises(ShapeMismatch):
         approx_eq(a, zeros(GroupedShape((2,), (2,))), 1e-6)
+
+
+@pytest.mark.parametrize("rows, cols", [((1,), (1,)), ((2,), (3,)), ((2, 2), (2, 2)),
+                                        ((4, 4), (2, 8))])
+def test_norm_is_numpy_norm_bit_for_bit(rows, cols):
+    g = seeded(11)
+    for _ in range(20):
+        x, y = random_tensor(g, rows, cols), random_tensor(g, rows, cols)
+        for t in (x, y, x * 1e-150, y * 1e150):
+            assert frobenius_norm(t) == np.linalg.norm(t.matrix)
+        scale_ = max(np.linalg.norm(x.matrix), np.linalg.norm(y.matrix))
+        assert rel_residual(x, y) == np.linalg.norm(x.matrix - y.matrix) / scale_
+
+
+def test_results_are_fresh_read_only_c_contiguous():
+    g = seeded(12)
+    a, b = random_tensor(g, (2,), (3, 2)), random_tensor(g, (3, 2), (2,))
+    c = random_tensor(g, (2,), (3, 2))
+    results = [einstein_product(a, b), a @ b, add(a, c), sub(a, c), scale(a, 2j),
+               conj_transpose(a), mp_inverse(a), identity([2, 3]), zeros(a.shape)]
+    for r in results:
+        m = r.matrix
+        assert m.dtype == np.complex128 and m.flags.c_contiguous and m.flags.owndata
+        assert not m.flags.writeable
+        assert m.shape == (r.shape.row_count, r.shape.col_count)
+        assert r == DenseTensor(r.shape, m)
+
+
+def test_derived_shapes_are_interned():
+    a = random_tensor(seeded(13), (2,), (3, 2))
+    assert (a @ conj_transpose(a)).shape is (a @ conj_transpose(a)).shape
+    assert conj_transpose(a).shape is a.shape.transposed
 
 
 def test_rel_residual_is_scale_free():
